@@ -29,6 +29,7 @@ def test_bench_streaming_throughput(benchmark, spark, seasonality):
     benchmark.extra_info["rows_per_sec_total"] = res.total_rows_per_sec
     benchmark.extra_info["rows_per_sec_per_core"] = res.rows_per_sec_per_core
     benchmark.extra_info["state_bytes_per_key"] = res.state_bytes_per_key
+    benchmark.extra_info["state_store_bytes_per_key"] = res.state_store_bytes_per_key
     benchmark.extra_info["paper"] = "/".join(PAPER_TABLE2[seasonality])
 
 

@@ -9,6 +9,8 @@ non-symmetric trend filter is then a single dot product with the last
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -35,22 +37,14 @@ def kernel_vector(lam: int) -> np.ndarray:
     return np.asarray(tricube(np.abs(lam - k) / lam))
 
 
-class KernelBank:
-    """Cache of kernel vectors and their L1 norms keyed by window size.
+@functools.lru_cache(maxsize=None)
+def kernel(lam: int) -> tuple[np.ndarray, float]:
+    """Pre-stored ``(k_lam, ||k_lam||_1)`` for window ``lam``.
 
     ``k_lam`` is constant for a given window (paper: "is constant throughout
-    the entirety of the algorithm"), so each OnlineSTL instance builds its
-    bank once at construction.
+    the entirety of the algorithm"), so it is built once per process and
+    shared read-only by every model; it is never part of a model's state.
     """
-
-    def __init__(self) -> None:
-        self._kernels: dict[int, tuple[np.ndarray, float]] = {}
-
-    def get(self, lam: int) -> tuple[np.ndarray, float]:
-        """Return ``(k_lam, ||k_lam||_1)``, computing and caching on first use."""
-        hit = self._kernels.get(lam)
-        if hit is None:
-            k = kernel_vector(lam)
-            hit = (k, float(np.abs(k).sum()))
-            self._kernels[lam] = hit
-        return hit
+    k = kernel_vector(lam)
+    k.flags.writeable = False
+    return k, float(np.abs(k).sum())

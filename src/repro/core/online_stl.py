@@ -10,8 +10,13 @@ One instance decomposes one time series. Lifecycle:
    (§5.3 / Algorithm 1): alternating non-symmetric tri-cube trend filters
    and single-slot exponential seasonal updates, one pass per period.
 
+``run(values)`` drives both phases over a run of points and returns aligned
+arrays; ``decompose_series`` and the streaming operator both go through it.
+
 State is O(4m · k) floats for max period m and k periods — independent of
 the number of points seen, as the paper requires of a streaming algorithm.
+The tri-cube kernels are constants of their windows, shared process-wide
+(:func:`repro.core.kernels.kernel`), and are not part of that state.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from repro.core.filters import (
     symmetric_trend_filter,
     trend_filter,
 )
-from repro.core.kernels import KernelBank
+from repro.core.kernels import kernel
 
 
 @dataclass
@@ -60,12 +65,6 @@ class OnlineSTL:
         self.gamma = float(gamma)
         self.m = max(self.periods)
         self.window = 4 * self.m
-        self._bank = KernelBank()
-        # Pre-store every kernel Algorithm 1 touches (constant per §4.1.1).
-        for p in self.periods:
-            self._bank.get(4 * p)
-            self._bank.get(3 * p)
-        self._bank.get(self.m)
         self.n_seen = 0
         self.initialized = False
         # State arrays, created by initialize():
@@ -125,13 +124,9 @@ class OnlineSTL:
     @staticmethod
     def _last_phase_values(series: np.ndarray, period: int) -> np.ndarray:
         """E_p[r] := last value of the r'th smoothed cyclic subseries."""
-        out = np.empty(period)
+        # For each phase r, the last index j < n with j % period == r.
         n = series.size
-        for r in range(period):
-            # Last index j < n with j % period == r.
-            j = n - 1 - ((n - 1 - r) % period)
-            out[r] = series[j]
-        return out
+        return series[n - 1 - (n - 1 - np.arange(period)) % period]
 
     # -------------------------------------------------------------- update
     def update(self, x: float) -> DecompPoint:
@@ -145,14 +140,14 @@ class OnlineSTL:
         b = float(x)
         seasonal: list[float] = []
         for idx, p in enumerate(self.periods):
-            k4, l4 = self._bank.get(4 * p)
+            k4, l4 = kernel(4 * p)
             t1 = trend_filter(k4, l4, self.A.view_last(4 * p))
             d1 = b - t1
             r = (i - 1) % p
             g = self.gamma
             self.E_S[idx][r] = g * d1 + (1.0 - g) * self.E_S[idx][r]
             self.K[idx].append(self.E_S[idx][r])
-            k3, l3 = self._bank.get(3 * p)
+            k3, l3 = kernel(3 * p)
             t4 = trend_filter(k3, l3, self.K[idx].view_last(3 * p))
             d5 = b - t1 - t4
             self.E_T[idx][r] = g * d5 + (1.0 - g) * self.E_T[idx][r]
@@ -160,10 +155,31 @@ class OnlineSTL:
             seasonal.append(s)
             b -= s  # deseasonalize for the next period
         self.D.append(b)
-        km, lm = self._bank.get(self.m)
+        km, lm = kernel(self.m)
         trend = trend_filter(km, lm, self.D.view_last(self.m))
         residual = float(x) - trend - float(np.sum(seasonal))
         return DecompPoint(trend=trend, seasonal=tuple(seasonal), residual=residual)
+
+    # ----------------------------------------------------------------- run
+    def run(self, values: np.ndarray) -> Decomposition:
+        """Decompose the next points of the series into aligned arrays.
+
+        An uninitialized model first initializes on the leading 4m points
+        (``initialize`` raises if there are fewer); every later point is one
+        ``update``.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        # Rows: trend, one seasonal component per period, residual.
+        out = np.empty((len(self.periods) + 2, values.size))
+        start = 0
+        if not self.initialized:
+            start = self.window
+            head = self.initialize(values[:start])
+            out[:, :start] = [head.trend, *head.seasonal, head.residual]
+        for t in range(start, values.size):
+            pt = self.update(values[t])
+            out[:, t] = (pt.trend, *pt.seasonal, pt.residual)
+        return Decomposition(trend=out[0], seasonal=list(out[1:-1]), residual=out[-1])
 
     # ------------------------------------------------------------- helpers
     def state_floats(self) -> int:
@@ -181,30 +197,11 @@ def decompose_series(
     values: np.ndarray, periods: list[int], gamma: float = 0.7
 ) -> Decomposition:
     """Run OnlineSTL over a bounded series: init on the first 4m points,
-    then one online update per remaining point. Convenience for tests and
-    the accuracy tables; the streaming operator uses the class directly.
-    """
-    values = np.asarray(values, dtype=np.float64)
+    then one online update per remaining point."""
     model = OnlineSTL(periods, gamma=gamma)
-    w = model.window
-    if values.size < w:
+    if len(values) < model.window:
         raise ValueError(
-            f"series of length {values.size} is shorter than 4m={w}; "
+            f"series of length {len(values)} is shorter than 4m={model.window}; "
             "OnlineSTL needs one full window to initialize"
         )
-    head = model.initialize(values[:w])
-    n = values.size
-    trend = np.empty(n)
-    seasonal = [np.empty(n) for _ in periods]
-    residual = np.empty(n)
-    trend[:w] = head.trend
-    for j, s in enumerate(head.seasonal):
-        seasonal[j][:w] = s
-    residual[:w] = head.residual
-    for t in range(w, n):
-        pt = model.update(values[t])
-        trend[t] = pt.trend
-        for j, s in enumerate(pt.seasonal):
-            seasonal[j][t] = s
-        residual[t] = pt.residual
-    return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
+    return model.run(values)

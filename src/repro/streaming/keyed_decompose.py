@@ -1,16 +1,19 @@
 """Distributed keyed OnlineSTL decomposition — the Flink deployment's
 Spark Structured Streaming equivalent (paper §6, DESIGN.md substitutions).
 
-Two paths share the same per-key kernel:
+Both paths run one per-key function, ``_advance``: it buffers a key's
+first 4m points, then hands them plus every later point to
+``OnlineSTL.run``.
 
 * :func:`streaming_decompose` — unbounded: ``groupBy(key)`` +
-  ``applyInPandasWithState``; state is the warm-up buffer or the live
-  OnlineSTL model (pickled via :mod:`repro.streaming.state_codec`). This is
-  the paper's "stateful keyed map function".
-* :func:`batch_decompose` — bounded: ``groupBy(key).applyInPandas`` running
-  init + sequential updates per key, parallel across keys. Used by
-  correctness tests (its output is oracle-checked and must equal the
-  streaming path and the single-threaded core exactly).
+  ``applyInPandasWithState``; the key's state (warm-up buffer or live
+  model) is kept between micro-batches as the versioned binary blob of
+  :mod:`repro.streaming.state_codec`. This is the paper's "stateful keyed
+  map function".
+* :func:`batch_decompose` — bounded: ``groupBy(key).applyInPandas``
+  applying the same function to a fresh state per key, parallel across
+  keys. Used by correctness tests (its output is oracle-checked and must
+  equal the streaming path and the single-threaded core exactly).
 
 Rows are sorted by timestamp inside each (key, micro-batch) group, so
 intra-batch disorder is tolerated — the Flink deployment makes the same
@@ -33,7 +36,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.online_stl import OnlineSTL, decompose_series
+from repro.core.online_stl import Decomposition, OnlineSTL
 from repro.streaming.state_codec import KeyState, decode, encode
 
 
@@ -56,23 +59,18 @@ def output_schema(n_periods: int) -> StructType:
 STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
 
 
-def _rows_from_arrays(
-    series_id: int,
-    ts: np.ndarray,
-    values: np.ndarray,
-    trend: np.ndarray,
-    seasonal: list[np.ndarray],
-    residual: np.ndarray,
+def _rows(
+    series_id: int, ts: np.ndarray, values: np.ndarray, d: Decomposition
 ) -> pd.DataFrame:
     cols: dict[str, np.ndarray] = {
         "series_id": np.full(len(ts), series_id, dtype=np.int64),
         "ts": np.asarray(ts, dtype=np.int64),
         "value": values,
-        "trend": trend,
+        "trend": d.trend,
     }
-    for j, s in enumerate(seasonal):
+    for j, s in enumerate(d.seasonal):
         cols[f"seasonal_{j}"] = s
-    cols["residual"] = residual
+    cols["residual"] = d.residual
     return pd.DataFrame(cols)
 
 
@@ -80,54 +78,20 @@ def _advance(
     state: KeyState, ts: np.ndarray, vals: np.ndarray, series_id: int
 ) -> pd.DataFrame:
     """Feed ordered points through a KeyState; return emitted decomposition
-    rows. Shared by the streaming and (conceptually) batch paths — the
-    warm-up buffer fills until 4m points, init emits the warm-up batch,
-    then each point is one O(1) online update."""
-    out: list[pd.DataFrame] = []
-    window = 4 * max(state.periods)
-    i = 0
-    n = len(vals)
+    rows. The one per-key function of both paths: points are buffered until
+    4m are held, then the buffer plus the rest go to ``OnlineSTL.run`` (init
+    emits the warm-up batch; each later point is one O(1) online update)."""
     if state.model is None:
-        take = min(n, window - len(state.buffer_vals))
-        state.buffer_ts.extend(int(t) for t in ts[:take])
-        state.buffer_vals.extend(float(v) for v in vals[:take])
-        i = take
-        if len(state.buffer_vals) == window:
-            model = OnlineSTL(state.periods, gamma=state.gamma)
-            head = model.initialize(np.asarray(state.buffer_vals))
-            out.append(
-                _rows_from_arrays(
-                    series_id,
-                    np.asarray(state.buffer_ts),
-                    np.asarray(state.buffer_vals),
-                    head.trend,
-                    head.seasonal,
-                    head.residual,
-                )
-            )
-            state.model = model
-            state.buffer_ts = []
-            state.buffer_vals = []
-    if state.model is not None and i < n:
-        k = len(state.periods)
-        cnt = n - i
-        trend = np.empty(cnt)
-        seasonal = [np.empty(cnt) for _ in range(k)]
-        residual = np.empty(cnt)
-        for j in range(cnt):
-            pt = state.model.update(vals[i + j])
-            trend[j] = pt.trend
-            for q in range(k):
-                seasonal[q][j] = pt.seasonal[q]
-            residual[j] = pt.residual
-        out.append(
-            _rows_from_arrays(
-                series_id, ts[i:], vals[i:], trend, seasonal, residual
-            )
-        )
-    if not out:
-        return pd.DataFrame()
-    return pd.concat(out, ignore_index=True)
+        state.buffer_ts += ts.tolist()
+        state.buffer_vals += vals.tolist()
+        if len(state.buffer_vals) < 4 * max(state.periods):
+            e, k = np.empty(0), len(state.periods)
+            return _rows(series_id, ts[:0], e, Decomposition(e, [e] * k, e))
+        ts = np.asarray(state.buffer_ts, dtype=np.int64)
+        vals = np.asarray(state.buffer_vals)
+        state.model = OnlineSTL(state.periods, gamma=state.gamma)
+        state.buffer_ts, state.buffer_vals = [], []
+    return _rows(series_id, ts, vals, state.model.run(vals))
 
 
 def streaming_decompose(
@@ -136,7 +100,11 @@ def streaming_decompose(
     gamma: float = 0.7,
 ) -> DataFrame:
     """Stateful keyed decomposition of an unbounded (series_id, ts, value)
-    stream. Returns the streaming DataFrame of decomposition rows."""
+    stream. Returns the streaming DataFrame of decomposition rows. A key
+    restored from a checkpoint written with other periods or γ raises
+    ``ValueError`` rather than continuing with the old configuration."""
+    periods = [int(p) for p in periods]
+    gamma = float(gamma)
     schema = output_schema(len(periods))
 
     def fn(
@@ -144,8 +112,12 @@ def streaming_decompose(
     ) -> Iterator[pd.DataFrame]:
         (series_id,) = key
         if state.exists:
-            (blob,) = state.get
-            ks = decode(bytes(blob))
+            ks = decode(bytes(state.get[0]))
+            if (ks.periods, ks.gamma) != (periods, gamma):
+                raise ValueError(
+                    f"key {series_id} was checkpointed with periods {ks.periods}, "
+                    f"gamma {ks.gamma}; this query has periods {periods}, gamma {gamma}"
+                )
         else:
             ks = KeyState(periods=list(periods), gamma=gamma)
         chunks = [p for p in pdfs if len(p)]
@@ -178,27 +150,20 @@ def batch_decompose(
     periods: list[int],
     gamma: float = 0.7,
 ) -> DataFrame:
-    """Bounded keyed decomposition: one ``decompose_series`` per key via
-    ``applyInPandas`` (keys run in parallel across cores). Keys with fewer
-    than 4m points cannot be initialized and emit no rows."""
-    schema = output_schema(len(periods))
-    window = 4 * max(periods)
+    """Bounded keyed decomposition: the streaming per-key function applied
+    to a fresh state per key via ``applyInPandas`` (keys run in parallel
+    across cores). Keys with fewer than 4m points cannot be initialized and
+    emit no rows."""
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("ts")
-        vals = pdf["value"].to_numpy(np.float64)
-        if vals.size < window:
-            return pd.DataFrame(
-                {f.name: pd.Series(dtype="float64") for f in schema.fields}
-            )
-        d = decompose_series(vals, periods, gamma=gamma)
-        return _rows_from_arrays(
-            int(pdf["series_id"].iloc[0]),
+        return _advance(
+            KeyState(periods=list(periods), gamma=gamma),
             pdf["ts"].to_numpy(np.int64),
-            vals,
-            d.trend,
-            d.seasonal,
-            d.residual,
+            pdf["value"].to_numpy(np.float64),
+            int(pdf["series_id"].iloc[0]),
         )
 
-    return events.groupBy("series_id").applyInPandas(fn, schema=schema)
+    return events.groupBy("series_id").applyInPandas(
+        fn, schema=output_schema(len(periods))
+    )

@@ -7,20 +7,23 @@ keys and checkpointing off. Here the same stateful operator runs on Spark
 ``maxOffsetsPerTrigger``-free rate batches), we let the query run for a
 fixed wall-clock duration, and derive steady-state rows/s from
 ``StreamingQueryProgress`` excluding warm-up batches. Memory is reported
-two ways: the exact per-key model state (floats held × 8 bytes — the
+three ways: the bytes stored per live key (the encoded state blob — the
 quantity behind the paper's "memory grows sub-linearly in seasonality"
-claim) and the driver JVM heap in use.
+claim), the state store's own ``memoryUsedBytes / numRowsTotal`` from the
+last progress, and the driver JVM heap in use.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
+import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.online_stl import OnlineSTL
 from repro.streaming.keyed_decompose import streaming_decompose
 from repro.streaming.source import rate_events
+from repro.streaming.state_codec import KeyState, encode
 
 
 @dataclass
@@ -33,19 +36,17 @@ class ThroughputResult:
     total_rows_per_sec: float
     rows_per_sec_per_core: float
     state_bytes_per_key: int
+    state_store_bytes_per_key: float
     total_state_mb: float
     jvm_heap_mb: float
     batches_measured: int
 
 
 def state_bytes_per_key(period: int, gamma: float = 0.7) -> int:
-    """Exact serialized-model float count × 8 for one key at steady state."""
-    import numpy as np
-
+    """Bytes of the encoded state of one live key, as the operator stores it."""
     model = OnlineSTL([period], gamma=gamma)
-    rng = np.random.default_rng(0)
-    model.initialize(rng.normal(size=model.window))
-    return model.state_floats() * 8
+    model.initialize(np.zeros(model.window))
+    return len(encode(KeyState(periods=[period], gamma=gamma, model=model)))
 
 
 def _jvm_heap_mb(spark: SparkSession) -> float:
@@ -59,7 +60,7 @@ def measure_streaming_throughput(
     seasonality: int,
     n_keys: int,
     run_seconds: float = 25.0,
-    rows_per_batch: int | None = None,
+    rows_per_batch: int = 200_000,
 ) -> ThroughputResult:
     """Run the stateful streaming query and measure steady-state throughput.
 
@@ -69,8 +70,6 @@ def measure_streaming_throughput(
     dominated by per-key offline init, whereas the paper measures
     steady-state (its Flink jobs run for a year; this query runs seconds).
     """
-    if rows_per_batch is None:
-        rows_per_batch = 200_000
     events = rate_events(
         spark,
         n_keys=n_keys,
@@ -107,6 +106,9 @@ def measure_streaming_throughput(
     cores = min(spark.sparkContext.defaultParallelism, n_keys)
     total = sum(rates) / len(rates) if rates else 0.0
     spk = state_bytes_per_key(seasonality)
+    # The state store's own memory per key, from the last batch that has it.
+    ops = [p.stateOperators[0] for p in progress if p.stateOperators]
+    store = ops[-1].memoryUsedBytes / max(ops[-1].numRowsTotal, 1) if ops else 0.0
     return ThroughputResult(
         seasonality=seasonality,
         n_keys=n_keys,
@@ -114,6 +116,7 @@ def measure_streaming_throughput(
         total_rows_per_sec=total,
         rows_per_sec_per_core=total / cores,
         state_bytes_per_key=spk,
+        state_store_bytes_per_key=store,
         total_state_mb=spk * n_keys / (1 << 20),
         jvm_heap_mb=_jvm_heap_mb(spark),
         batches_measured=len(rates),

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import OnlineSTL
 from repro.experiments.grid import BATCH_ALGOS, decompose_cell, evaluate_cell, run_grid
 from repro.experiments.table1 import (
     PAPER_TIERS,
@@ -11,6 +12,7 @@ from repro.experiments.table1 import (
     measure_online_stl,
     run_table1,
 )
+from repro.experiments.table2 import PAPER_TABLE2, Table2Row, format_table2
 from repro.experiments.table3 import (
     DATASETS,
     PAPER_MASE,
@@ -27,6 +29,7 @@ from repro.experiments.table4 import (
     run_table4,
     table4_cells,
 )
+from repro.streaming.throughput import ThroughputResult, state_bytes_per_key
 
 
 class TestTable1Harness:
@@ -178,3 +181,31 @@ class TestTable4Harness:
         assert len(res) == 11
         text = format_table4(res)
         assert "OnlineSTL" in text
+
+
+class TestTable2Harness:
+    def test_state_bytes_per_key_is_the_stored_blob(self):
+        """The state column reports the encoded blob: the model's floats
+        plus a small header, not the float count alone."""
+        model = OnlineSTL([100])
+        model.initialize(np.zeros(model.window))
+        floats_bytes = 8 * model.state_floats()
+        assert floats_bytes < state_bytes_per_key(100) <= floats_bytes + 256
+
+    def test_format_prints_state_store_bytes(self):
+        res = ThroughputResult(
+            seasonality=1000,
+            n_keys=64,
+            cores=4,
+            total_rows_per_sec=8000.0,
+            rows_per_sec_per_core=2000.0,
+            state_bytes_per_key=88104,
+            state_store_bytes_per_key=307123.0,
+            total_state_mb=5.4,
+            jvm_heap_mb=900.0,
+            batches_measured=3,
+        )
+        text = format_table2([Table2Row(res, *PAPER_TABLE2[1000])])
+        header, row = text.splitlines()
+        assert "store/key" in header
+        assert "88104" in row and "307123" in row

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.kernels import KernelBank, kernel_vector, tricube
+from repro.core.kernels import kernel, kernel_vector, tricube
 
 
 class TestTricube:
@@ -85,19 +85,19 @@ class TestKernelVector:
 
 
 class TestKernelBank:
+    """The process-wide bank of pre-stored kernels, keyed by window."""
+
     def test_caches_identity(self):
-        bank = KernelBank()
-        k1, _ = bank.get(10)
-        k2, _ = bank.get(10)
+        k1, _ = kernel(10)
+        k2, _ = kernel(10)
         assert k1 is k2
+        assert not k1.flags.writeable
 
     def test_l1_matches(self):
-        bank = KernelBank()
-        k, l1 = bank.get(12)
+        k, l1 = kernel(12)
         assert l1 == pytest.approx(np.abs(k).sum())
 
     def test_distinct_windows_distinct_kernels(self):
-        bank = KernelBank()
-        k10, _ = bank.get(10)
-        k20, _ = bank.get(20)
+        k10, _ = kernel(10)
+        k20, _ = kernel(20)
         assert k10.shape != k20.shape

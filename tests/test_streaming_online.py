@@ -15,6 +15,7 @@ from repro.streaming import (
 )
 from repro.streaming.keyed_decompose import _advance
 from repro.core import OnlineSTL, decompose_series
+from repro.core.kernels import kernel
 from repro.synth_data import metric_events_pdf
 
 PERIODS = [10]
@@ -34,6 +35,11 @@ class TestStateCodec:
         out = decode(encode(ks))
         assert out.buffer_ts == [0, 1]
         assert out.buffer_vals == [1.0, 2.0]
+        # The decoded buffer must continue into the same decomposition.
+        ts, vals = np.arange(2, 40), np.random.default_rng(3).normal(size=38)
+        pd.testing.assert_frame_equal(
+            _advance(ks, ts, vals, 0), _advance(out, ts, vals, 0), check_exact=True
+        )
 
     def test_roundtrip_with_live_model(self):
         rng = np.random.default_rng(0)
@@ -42,25 +48,48 @@ class TestStateCodec:
         model.update(1.0)
         ks = KeyState(periods=[5], gamma=0.7, model=model)
         out = decode(encode(ks))
-        # The decoded model must continue the sequence identically.
-        a = model.update(2.0)
-        b = out.model.update(2.0)
-        assert a.trend == pytest.approx(b.trend)
-        assert a.residual == pytest.approx(b.residual)
+        # The decoded model must continue the sequence bit for bit.
+        for x in rng.normal(size=30):
+            a = model.update(x)
+            b = out.model.update(x)
+            assert a == b
+
+    def test_blob_is_explicit_state(self):
+        """The blob holds the O(4m·k) state plus a small header — no
+        kernels, no object graph."""
+        rng = np.random.default_rng(1)
+        model = OnlineSTL([1000])
+        model.initialize(rng.normal(size=model.window))
+        model.update(0.5)
+        blob = encode(KeyState(periods=[1000], gamma=0.7, model=model))
+        assert len(blob) <= 8 * model.state_floats() + 256
+        assert kernel(4000)[0].tobytes() not in blob
+        warm = KeyState(
+            periods=[1000],
+            gamma=0.7,
+            buffer_ts=list(range(3999)),
+            buffer_vals=rng.normal(size=3999).tolist(),
+        )
+        # Each buffered point is one int64 ts and one float64 value.
+        assert len(encode(warm)) <= 8 * 2 * 3999 + 256
 
     def test_version_guard(self):
-        import pickle
-
-        blob = pickle.dumps((999, KeyState(periods=[5], gamma=0.7)))
+        blob = bytearray(encode(KeyState(periods=[5], gamma=0.7)))
+        blob[:8] = np.int64(999).tobytes()
         with pytest.raises(ValueError):
-            decode(blob)
+            decode(bytes(blob))
 
     def test_type_guard(self):
-        import pickle
-
-        blob = pickle.dumps((1, {"not": "a KeyState"}))
-        with pytest.raises(TypeError):
-            decode(blob)
+        """Truncated or garbage blobs raise instead of decoding."""
+        model = OnlineSTL([5])
+        model.initialize(np.arange(20.0))
+        blob = encode(KeyState(periods=[5], gamma=0.7, model=model))
+        bad = [blob[:-8], blob[:20], blob + b"\0" * 8, b"", b"garbage!" * 4]
+        rng = np.random.default_rng(2)
+        bad += [rng.bytes(len(blob)), blob[:8] + rng.bytes(len(blob) - 8)]
+        for b in bad:
+            with pytest.raises(ValueError):
+                decode(b)
 
 
 class TestAdvance:
@@ -161,6 +190,34 @@ class TestStreamingEndToEnd:
         lhs = got["value"].to_numpy()
         rhs = (got["trend"] + got["seasonal_0"] + got["residual"]).to_numpy()
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+    def test_restart_with_other_periods_raises(self, spark, tmp_path):
+        """State checkpointed under one config is not silently continued
+        under another with the same number of periods."""
+        events = metric_events_pdf(
+            n_keys=1, points_per_key=WINDOW + 10, periods=PERIODS, seed=7
+        )
+
+        def run(periods, n_chunks):
+            stream = replay_files(
+                spark, events, str(tmp_path / "in"), n_chunks=n_chunks
+            )
+            q = (
+                streaming_decompose(stream, periods)
+                .writeStream.format("noop")
+                .option("checkpointLocation", str(tmp_path / "ckpt"))
+                .start()
+            )
+            try:
+                q.processAllAvailable()
+            finally:
+                q.stop()
+
+        run(PERIODS, 1)
+        # chunk-000 is already in the checkpoint; chunk-001 is a new file
+        # whose batch must restore the key's state.
+        with pytest.raises(Exception, match="checkpointed with periods"):
+            run([12], 2)
 
     def test_intra_batch_disorder_tolerated(self, spark, tmp_path):
         """Rows shuffled within chunks (the operator sorts by ts per batch)."""
