@@ -62,28 +62,31 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    (Arrow, broadcast threshold) are set here; the shuffle partitions are
+    sized to the cores by ``size_partitions``, the rule the jobs use.
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
     """
+    # Imported here: this file loads before any test path setup puts src/
+    # on sys.path.
+    from repro.streaming import size_partitions
+
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+    partitions = size_partitions(s)
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
         f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
+        f"defaultParallelism={s.sparkContext.defaultParallelism} "
+        f"shuffle_partitions={partitions}",
         file=sys.stderr,
     )
     yield s

@@ -2,7 +2,9 @@
 
 Jobs run under ``spark-submit`` (which provides the session config) or
 directly via ``python jobs/<name>.py`` (local[*] fallback). Mirrors the
-conftest fixture settings so job results match test results.
+conftest fixture settings so job results match test results, including the
+shuffle/state partition count, which ``size_partitions`` derives from the
+cores Spark has.
 """
 from __future__ import annotations
 
@@ -17,14 +19,17 @@ os.environ.setdefault(
 
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.streaming import size_partitions  # noqa: E402
+
 
 def get_session(app: str) -> SparkSession:
-    return (
+    spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
+    size_partitions(spark)
+    return spark

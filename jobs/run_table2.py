@@ -27,6 +27,10 @@ def main() -> None:
         rows = run_table2(
             spark, seasonalities=seasonalities, run_seconds=run_seconds
         )
+        print(
+            f"cores (defaultParallelism): {spark.sparkContext.defaultParallelism}, "
+            f"shuffle/state partitions: {spark.conf.get('spark.sql.shuffle.partitions')}"
+        )
         print(format_table2(rows))
     finally:
         spark.stop()

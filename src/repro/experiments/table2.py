@@ -25,15 +25,14 @@ PAPER_TABLE2 = {
 }
 
 # Keys scaled down from the paper's 100K so per-key warm-up (4m points)
-# completes within a short measured run on 16 cores.
+# completes within a short measured run on a few cores.
 DEFAULT_KEYS = {10: 512, 100: 256, 1000: 64, 10000: 8}
 
-# Micro-batch sizes tuned so a steady-state batch takes ~0.5-2s at each
-# seasonality (throughput falls as seasonality grows, so batches shrink),
-# and run lengths long enough to clear warm-up (4·m points × keys) and
-# still measure several steady batches.
+# Micro-batch sizes shrink as seasonality grows (throughput falls with it);
+# a steady batch takes ~2-5 s on a 4-core box. Run lengths clear warm-up
+# (4·m points × keys) and still measure several steady batches.
 DEFAULT_ROWS_PER_BATCH = {10: 200_000, 100: 200_000, 1000: 100_000, 10000: 40_000}
-DEFAULT_RUN_SECONDS = {10: 20.0, 100: 20.0, 1000: 20.0, 10000: 45.0}
+DEFAULT_RUN_SECONDS = {10: 30.0, 100: 20.0, 1000: 20.0, 10000: 45.0}
 
 
 @dataclass
@@ -71,7 +70,7 @@ def run_table2(
 def format_table2(rows: list[Table2Row]) -> str:
     lines = [
         f"{'seasonality':>11} {'keys':>5} {'rows/s/core':>12} {'total rows/s':>13} "
-        f"{'state/key':>10} {'store/key':>10} {'heap MB':>8}   "
+        f"{'state/key':>10} {'store/key':>10} {'heap MB':>8} {'batches':>7}   "
         "paper: per-slot / heap / total",
     ]
     for r in rows:
@@ -80,7 +79,8 @@ def format_table2(rows: list[Table2Row]) -> str:
             f"{t.seasonality:>11} {t.n_keys:>5} {t.rows_per_sec_per_core:>12.0f} "
             f"{t.total_rows_per_sec:>13.0f} {t.state_bytes_per_key:>10} "
             f"{t.state_store_bytes_per_key:>10.0f} "
-            f"{t.jvm_heap_mb:>8.0f}   {r.paper_throughput_per_slot} / "
+            f"{t.jvm_heap_mb:>8.0f} {t.batches_measured:>7}   "
+            f"{r.paper_throughput_per_slot} / "
             f"{r.paper_heap} / {r.paper_total}"
         )
     return "\n".join(lines)

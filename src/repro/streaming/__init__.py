@@ -4,6 +4,7 @@ from repro.streaming.keyed_decompose import (
     STATE_SCHEMA,
     batch_decompose,
     output_schema,
+    size_partitions,
     streaming_decompose,
 )
 from repro.streaming.source import EVENT_SCHEMA, rate_events, replay_files
@@ -18,6 +19,7 @@ __all__ = [
     "STATE_SCHEMA",
     "batch_decompose",
     "output_schema",
+    "size_partitions",
     "streaming_decompose",
     "EVENT_SCHEMA",
     "rate_events",

@@ -69,6 +69,8 @@ def measure_streaming_throughput(
     has received its 4m initialization points — are excluded: they are
     dominated by per-key offline init, whereas the paper measures
     steady-state (its Flink jobs run for a year; this query runs seconds).
+    Raises ``RuntimeError`` when no steady batch finished within
+    ``run_seconds``, so a run too short to measure never reads as a rate.
     """
     events = rate_events(
         spark,
@@ -103,8 +105,14 @@ def measure_streaming_throughput(
         if seen >= warmup_rows and rows and dur_ms:
             rates.append(rows / (dur_ms / 1000.0))
         seen += rows or 0
+    if not rates:
+        raise RuntimeError(
+            f"no steady batch measured at seasonality {seasonality}: "
+            f"{len(progress)} batches finished in {run_seconds} s, none after "
+            f"the {warmup_rows}-row warm-up"
+        )
     cores = min(spark.sparkContext.defaultParallelism, n_keys)
-    total = sum(rates) / len(rates) if rates else 0.0
+    total = sum(rates) / len(rates)
     spk = state_bytes_per_key(seasonality)
     # The state store's own memory per key, from the last batch that has it.
     ops = [p.stateOperators[0] for p in progress if p.stateOperators]

@@ -29,7 +29,11 @@ from repro.experiments.table4 import (
     run_table4,
     table4_cells,
 )
-from repro.streaming.throughput import ThroughputResult, state_bytes_per_key
+from repro.streaming.throughput import (
+    ThroughputResult,
+    measure_streaming_throughput,
+    state_bytes_per_key,
+)
 
 
 class TestTable1Harness:
@@ -209,3 +213,14 @@ class TestTable2Harness:
         header, row = text.splitlines()
         assert "store/key" in header
         assert "88104" in row and "307123" in row
+        assert "batches" in header
+        assert row.split()[7] == "3"
+
+    @pytest.mark.spark
+    def test_no_steady_batch_raises(self, spark):
+        """A run that measures no steady batch raises instead of reporting
+        a rate of 0."""
+        with pytest.raises(RuntimeError, match="no steady batch"):
+            measure_streaming_throughput(
+                spark, seasonality=10, n_keys=4, run_seconds=0.0, rows_per_batch=1000
+            )

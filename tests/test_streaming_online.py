@@ -1,11 +1,14 @@
 """Tests for the unbounded Structured Streaming path: the stateful keyed
 operator must produce byte-identical results to the bounded path, across
 micro-batch boundaries, with state round-tripping through the codec."""
+import shutil
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.streaming import (
+    EVENT_SCHEMA,
     KeyState,
     batch_decompose,
     decode,
@@ -218,6 +221,78 @@ class TestStreamingEndToEnd:
         # whose batch must restore the key's state.
         with pytest.raises(Exception, match="checkpointed with periods"):
             run([12], 2)
+
+    @pytest.mark.parametrize(
+        "first_partitions, k",
+        [(None, 2), (64, 1)],
+        ids=["same-config", "from-64-partitions"],
+    )
+    def test_restart_is_exact(self, spark, tmp_path, first_partitions, k):
+        """Stopping after chunk k and restarting from the checkpoint gives
+        the same rows as one uninterrupted run. With ``first_partitions``
+        the checkpoint is written under that shuffle-partition count and
+        restarted under the session's sized one: the restarted query keeps
+        the checkpoint's count and still continues every key exactly."""
+        events = metric_events_pdf(
+            n_keys=3, points_per_key=WINDOW + 30, periods=PERIODS, seed=8
+        )
+        # 3 chunks of ~23 points per key: the key models go live in chunk 1,
+        # so a restart at chunk 2 restores live models and one at chunk 1
+        # restores warm-up buffers.
+        replay_files(spark, events, str(tmp_path / "chunks"), n_chunks=3)
+        chunks = sorted((tmp_path / "chunks").iterdir())
+
+        def run(name, files):
+            """Add ``files`` to the query's input and run it to the end from
+            its checkpoint; return the state partition counts it used."""
+            src = tmp_path / name / "in"
+            src.mkdir(parents=True, exist_ok=True)
+            for f in files:  # copy2 keeps the chunks' mtime order
+                shutil.copy2(f, src / f.name)
+            stream = (
+                spark.readStream.schema(EVENT_SCHEMA)
+                .option("maxFilesPerTrigger", 1)
+                .parquet(str(src))
+            )
+            q = (
+                streaming_decompose(stream, PERIODS)
+                .writeStream.format("parquet")
+                .option("path", str(tmp_path / name / "out"))
+                .option("checkpointLocation", str(tmp_path / name / "ckpt"))
+                .outputMode("append")
+                .start()
+            )
+            try:
+                q.processAllAvailable()
+            finally:
+                q.stop()
+            return {
+                op.numShufflePartitions
+                for p in q.recentProgress
+                for op in p.stateOperators
+            }
+
+        def rows(name):
+            return (
+                spark.read.parquet(str(tmp_path / name / "out"))
+                .toPandas()
+                .sort_values(["series_id", "ts"])
+                .reset_index(drop=True)
+            )
+
+        sized = spark.conf.get("spark.sql.shuffle.partitions")
+        run("whole", chunks)
+        if first_partitions:
+            spark.conf.set("spark.sql.shuffle.partitions", first_partitions)
+        try:
+            before = run("restarted", chunks[:k])
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", sized)
+        after = run("restarted", chunks[k:])
+        assert before == after == {first_partitions or int(sized)}
+        want = rows("whole")
+        assert len(want) == len(events)
+        pd.testing.assert_frame_equal(rows("restarted"), want, check_exact=True)
 
     def test_intra_batch_disorder_tolerated(self, spark, tmp_path):
         """Rows shuffled within chunks (the operator sorts by ts per batch)."""
