@@ -1,9 +1,11 @@
 """Circular (ring) array with O(1) append — the paper's UPDATEARRAY(X, y).
 
 OnlineSTL maintains fixed-size sliding windows (A, K_p, D). UPDATEARRAY
-"replaces the oldest element with y" (notation item 9). We keep a write
-cursor so append is O(1); ``view_last(w)`` materializes the most recent
-``w`` elements in time order for the trend-filter dot products.
+"replaces the oldest element with y" (notation item 9). A ring is always
+full: it is built over a buffer that already holds one window, and writes
+into that buffer in place, so the buffer stays the window's stored state.
+A write cursor makes append O(1); ``view_last(w)`` materializes the most
+recent ``w`` elements in time order for the trend-filter dot products.
 """
 from __future__ import annotations
 
@@ -11,66 +13,27 @@ import numpy as np
 
 
 class CircularArray:
-    """Fixed-capacity ring buffer of float64 with oldest-overwrite append."""
+    """Full fixed-capacity ring of float64 with oldest-overwrite append."""
 
-    def __init__(self, capacity: int, init: np.ndarray | None = None) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._buf = np.zeros(capacity, dtype=np.float64)
-        self._head = 0  # index of the oldest element / next write slot
-        self._filled = 0
-        if init is not None:
-            init = np.asarray(init, dtype=np.float64)
-            if init.size != capacity:
-                raise ValueError(
-                    f"init length {init.size} != capacity {capacity}"
-                )
-            self._buf[:] = init
-            self._filled = capacity
-
-    def __len__(self) -> int:
-        return self._filled
-
-    @property
-    def full(self) -> bool:
-        return self._filled == self.capacity
+    def __init__(self, buf: np.ndarray, head: int = 0) -> None:
+        """Ring over ``buf`` (not copied) whose oldest element is at
+        ``buf[head]``, so the newest is at ``buf[head - 1]``."""
+        if buf.size < 1:
+            raise ValueError("a ring needs a buffer of at least one element")
+        self.capacity = buf.size
+        self._buf = buf
+        self._head = head  # index of the oldest element / next write slot
 
     def append(self, y: float) -> None:
         """UPDATEARRAY: overwrite the oldest element with ``y``."""
         self._buf[self._head] = y
         self._head = (self._head + 1) % self.capacity
-        if self._filled < self.capacity:
-            self._filled += 1
 
     def view_last(self, w: int) -> np.ndarray:
-        """The most recent ``w`` elements, oldest→newest (a copy).
-
-        Requires ``w <= len(self)``; OnlineSTL only calls this after the
-        buffer holds at least one full window.
-        """
-        if w > self._filled:
-            raise ValueError(f"requested last {w} of {self._filled} elements")
-        # Newest element sits just before the head cursor.
-        end = self._head if self.full else self._filled
-        start = end - w
+        """The most recent ``w <= capacity`` elements, oldest→newest (a copy)."""
+        if w > self.capacity:
+            raise ValueError(f"requested last {w} of {self.capacity} elements")
+        start = self._head - w
         if start >= 0:
-            return self._buf[start:end].copy()
-        return np.concatenate([self._buf[start % self.capacity :], self._buf[:end]])
-
-    def to_array(self) -> np.ndarray:
-        """All held elements, oldest→newest."""
-        return self.view_last(self._filled)
-
-    @classmethod
-    def from_state(cls, buf: np.ndarray, head: int, filled: int) -> "CircularArray":
-        """Rehydrate from raw state (used by the Spark streaming state codec)."""
-        c = cls(len(buf))
-        c._buf = np.asarray(buf, dtype=np.float64).copy()
-        c._head = int(head)
-        c._filled = int(filled)
-        return c
-
-    def raw_state(self) -> tuple[np.ndarray, int, int]:
-        """Raw (buffer, head, filled) for serialization."""
-        return self._buf.copy(), self._head, self._filled
+            return self._buf[start : self._head].copy()
+        return np.concatenate([self._buf[start:], self._buf[: self._head]])

@@ -13,10 +13,14 @@ One instance decomposes one time series. Lifecycle:
 ``run(values)`` drives both phases over a run of points and returns aligned
 arrays; ``decompose_series`` and the streaming operator both go through it.
 
-State is O(4m · k) floats for max period m and k periods — independent of
-the number of points seen, as the paper requires of a streaming algorithm.
-The tri-cube kernels are constants of their windows, shared process-wide
-(:func:`repro.core.kernels.kernel`), and are not part of that state.
+The state is one float64 array, ``OnlineSTL.state``, holding only the
+windows Algorithm 1 reads, in this order: A (4m), K_1..K_k (3·m_p each),
+D (m), E_{1,S}..E_{k,S}, E_{1,T}..E_{k,T} (m_p each) — 5m + 5·Σm_p floats
+for max period m, independent of the number of points seen, as the paper
+requires of a streaming algorithm. The rings are views of that array; each
+advances once per update, so its head is ``(n_seen − 4m) % capacity`` and
+is not stored. The tri-cube kernels are constants of their windows, shared
+process-wide (:func:`repro.core.kernels.kernel`), and are not state.
 """
 from __future__ import annotations
 
@@ -67,12 +71,7 @@ class OnlineSTL:
         self.window = 4 * self.m
         self.n_seen = 0
         self.initialized = False
-        # State arrays, created by initialize():
-        self.A: CircularArray | None = None
-        self.K: list[CircularArray] = []
-        self.E_S: list[np.ndarray] = []
-        self.E_T: list[np.ndarray] = []
-        self.D: CircularArray | None = None
+        self.state = np.empty(0)  # the flat state; _bind() gives its layout
 
     # ---------------------------------------------------------------- init
     def initialize(self, values: np.ndarray) -> Decomposition:
@@ -97,29 +96,54 @@ class OnlineSTL:
             )
         if self.initialized:
             raise RuntimeError("initialize() called twice")
-        self.A = CircularArray(self.window, init=values)
         working = values.copy()
-        seasonal_out: list[np.ndarray] = []
+        K, E_S, E_T, seasonal_out = [], [], [], []  # per period, in period order
         for p in self.periods:
             t1_series = symmetric_trend_filter(working, 2 * p)
             T1 = working - t1_series
             k_series = seasonal_smooth(T1, p, self.gamma)
-            self.K.append(CircularArray(self.window, init=k_series))
-            self.E_S.append(self._last_phase_values(k_series, p))
+            K.append(k_series[-3 * p :])  # update reads only K_p's last 3p
+            E_S.append(self._last_phase_values(k_series, p))
             trend_of_seas = symmetric_trend_filter(k_series, max(1, (3 * p) // 2))
             D5 = T1 - trend_of_seas
             s_series = seasonal_smooth(D5, p, self.gamma)
-            self.E_T.append(self._last_phase_values(s_series, p))
+            E_T.append(self._last_phase_values(s_series, p))
             seasonal_out.append(s_series)
             working = working - s_series
-        self.D = CircularArray(self.m, init=working[-self.m :])
-        self.n_seen = self.window
-        self.initialized = True
+        self._bind(np.concatenate([values, *K, working[-self.m :], *E_S, *E_T]), self.window)
         # Decomposition for the warm-up batch: final trend is a symmetric
         # smooth (window m) of the fully deseasonalized series.
         trend = symmetric_trend_filter(working, self.m)
         residual = values - trend - np.sum(seasonal_out, axis=0)
         return Decomposition(trend=trend, seasonal=seasonal_out, residual=residual)
+
+    @classmethod
+    def from_state(
+        cls, periods: list[int], gamma: float, n_seen: int, floats: np.ndarray
+    ) -> "OnlineSTL":
+        """Restore a model that has seen ``n_seen`` points from (a copy of)
+        its ``state``; raises ``ValueError`` if ``floats`` does not fit."""
+        model = cls(periods, gamma=gamma)
+        model._bind(np.array(floats, dtype=np.float64), n_seen)
+        return model
+
+    def _bind(self, state: np.ndarray, n_seen: int) -> None:
+        """Make ``state`` the model's state after ``n_seen`` points: the
+        windows become views of it, each ring's head derived from ``n_seen``."""
+        k = len(self.periods)
+        # The layout: A, K_1..K_k, D, E_{1..k,S}, E_{1..k,T}.
+        sizes = [self.window, *(3 * p for p in self.periods), self.m, *self.periods * 2]
+        if n_seen < self.window or state.size != sum(sizes):
+            raise ValueError(
+                f"{state.size} state floats after {n_seen} points do not fit "
+                f"periods {self.periods}"
+            )
+        parts = np.split(state, np.cumsum(sizes)[:-1])
+        # Every ring is full at initialize() and takes one value per update.
+        rings = [CircularArray(b, (n_seen - self.window) % b.size) for b in parts[: k + 2]]
+        self.A, self.K, self.D = rings[0], rings[1:-1], rings[-1]
+        self.E_S, self.E_T = parts[k + 2 : 2 * k + 2], parts[2 * k + 2 :]
+        self.state, self.n_seen, self.initialized = state, n_seen, True
 
     @staticmethod
     def _last_phase_values(series: np.ndarray, period: int) -> np.ndarray:
@@ -133,7 +157,6 @@ class OnlineSTL:
         """Online phase (Algorithm 1) for one arriving point ``X_i``."""
         if not self.initialized:
             raise RuntimeError("update() before initialize()")
-        assert self.A is not None and self.D is not None
         self.n_seen += 1
         i = self.n_seen  # 1-based timestamp of this point
         self.A.append(float(x))
@@ -183,14 +206,9 @@ class OnlineSTL:
 
     # ------------------------------------------------------------- helpers
     def state_floats(self) -> int:
-        """Number of float64 slots held — the O(4m·k) space claim (§3.2)."""
-        if not self.initialized:
-            return 0
-        n = self.window  # A
-        n += sum(k.capacity for k in self.K)
-        n += sum(e.size for e in self.E_S) + sum(e.size for e in self.E_T)
-        n += self.m  # D
-        return n
+        """Number of float64 slots held, 5m + 5·Σm_p once initialized — the
+        space claim (§3.2)."""
+        return self.state.size
 
 
 def decompose_series(

@@ -24,6 +24,7 @@ re-ordering, which neither the paper's operator nor this one attempts.
 """
 from __future__ import annotations
 
+import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,6 +41,17 @@ from pyspark.sql.types import (
 
 from repro.core.online_stl import Decomposition, OnlineSTL
 from repro.streaming.state_codec import KeyState, decode, encode
+
+# pyspark's own all-NA padding of each applyInPandasWithState batch
+# (sql/pandas/serializers.py, construct_record_batch) makes pandas warn on
+# every stateful batch; the operator's frames are not involved. Workers
+# import this module to unpickle the operator, so the filter reaches them.
+warnings.filterwarnings(
+    "ignore",
+    message="The behavior of DataFrame concatenation with empty or all-NA entries",
+    category=FutureWarning,
+    module=r"pyspark\.sql\.pandas\.serializers",
+)
 
 
 def output_schema(n_periods: int) -> StructType:

@@ -14,6 +14,7 @@ last progress, and the driver JVM heap in use.
 """
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -79,23 +80,22 @@ def measure_streaming_throughput(
         period=seasonality,
     )
     decomposed = streaming_decompose(events, [seasonality])
-    query = (
-        decomposed.writeStream.format("noop")
-        .option(
-            "checkpointLocation",
-            f"/tmp/repro-ckpt-{seasonality}-{n_keys}-{time.monotonic_ns()}",
+    # The checkpoint only serves this run (a m=10^4 one reaches ~100 MB).
+    with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as checkpoint:
+        query = (
+            decomposed.writeStream.format("noop")
+            .option("checkpointLocation", checkpoint)
+            .outputMode("append")
+            .start()
         )
-        .outputMode("append")
-        .start()
-    )
-    try:
-        time.sleep(run_seconds)
-        progress = [p for p in query.recentProgress if p is not None]
-    finally:
         try:
-            query.stop()
-        except Exception:  # noqa: BLE001 — stop() interrupting a mid-batch
-            pass  # commit raises spuriously; measurements are already taken
+            time.sleep(run_seconds)
+            progress = [p for p in query.recentProgress if p is not None]
+        finally:
+            try:
+                query.stop()
+            except Exception:  # noqa: BLE001 — stop() interrupting a mid-batch
+                pass  # commit raises spuriously; measurements are already taken
     warmup_rows = 4 * seasonality * n_keys
     seen = 0
     rates = []

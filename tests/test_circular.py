@@ -12,91 +12,70 @@ from repro.core.circular import CircularArray
 class TestConstruction:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            CircularArray(0)
-
-    def test_init_wrong_length(self):
-        with pytest.raises(ValueError):
-            CircularArray(4, init=np.ones(3))
+            CircularArray(np.empty(0))
 
     def test_init_full(self):
-        c = CircularArray(3, init=np.array([1.0, 2.0, 3.0]))
-        assert c.full
-        assert len(c) == 3
-
-    def test_empty_not_full(self):
-        c = CircularArray(3)
-        assert not c.full
-        assert len(c) == 0
+        """A new ring holds its whole buffer, oldest at ``head``."""
+        buf = np.array([1.0, 2.0, 3.0])
+        assert CircularArray(buf).view_last(3).tolist() == [1.0, 2.0, 3.0]
+        assert CircularArray(buf, head=1).view_last(3).tolist() == [2.0, 3.0, 1.0]
 
 
 class TestAppendAndView:
-    def test_append_grows_until_capacity(self):
-        c = CircularArray(3)
-        for i in range(5):
-            c.append(float(i))
-            assert len(c) == min(i + 1, 3)
-
     def test_view_last_order(self):
-        c = CircularArray(4, init=np.array([1.0, 2.0, 3.0, 4.0]))
+        c = CircularArray(np.array([1.0, 2.0, 3.0, 4.0]))
         c.append(5.0)  # overwrites 1.0
         assert c.view_last(4).tolist() == [2.0, 3.0, 4.0, 5.0]
 
     def test_view_last_partial(self):
-        c = CircularArray(4, init=np.array([1.0, 2.0, 3.0, 4.0]))
+        c = CircularArray(np.array([1.0, 2.0, 3.0, 4.0]))
         c.append(5.0)
         c.append(6.0)
         assert c.view_last(2).tolist() == [5.0, 6.0]
 
     def test_view_more_than_held_raises(self):
-        c = CircularArray(5)
-        c.append(1.0)
+        c = CircularArray(np.ones(5))
         with pytest.raises(ValueError):
-            c.view_last(2)
+            c.view_last(6)
 
     def test_view_is_copy(self):
-        c = CircularArray(3, init=np.array([1.0, 2.0, 3.0]))
+        c = CircularArray(np.array([1.0, 2.0, 3.0]))
         v = c.view_last(3)
         v[0] = 99.0
         assert c.view_last(3)[0] == 1.0
 
-    def test_to_array_before_full(self):
-        c = CircularArray(5)
-        c.append(1.0)
-        c.append(2.0)
-        assert c.to_array().tolist() == [1.0, 2.0]
-
     @given(
-        st.integers(min_value=1, max_value=20),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=20),
         st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=100),
     )
-    def test_matches_deque_reference(self, cap, xs):
-        """Property: CircularArray behaves exactly like a maxlen deque."""
-        c = CircularArray(cap)
-        ref = collections.deque(maxlen=cap)
+    def test_matches_deque_reference(self, init, xs):
+        """Property: a ring built over ``init`` behaves exactly like a
+        deque of maxlen ``len(init)`` that starts out holding ``init``."""
+        cap = len(init)
+        c = CircularArray(np.array(init))
+        ref = collections.deque(init, maxlen=cap)
         for x in xs:
             c.append(x)
             ref.append(x)
-            assert c.to_array().tolist() == pytest.approx(list(ref))
+            for w in range(1, cap + 1):
+                assert c.view_last(w).tolist() == list(ref)[cap - w :]
 
 
 class TestStateRoundtrip:
-    def test_raw_state_roundtrip(self):
-        c = CircularArray(4, init=np.array([1.0, 2.0, 3.0, 4.0]))
-        c.append(5.0)
-        buf, head, filled = c.raw_state()
-        c2 = CircularArray.from_state(buf, head, filled)
-        assert c2.view_last(4).tolist() == c.view_last(4).tolist()
+    """A ring's state is its buffer plus its head, which its owner derives."""
+
+    def test_appends_write_through_to_buffer(self):
+        buf = np.array([1.0, 2.0, 3.0])
+        c = CircularArray(buf)
+        c.append(4.0)
+        assert buf.tolist() == [4.0, 2.0, 3.0]
 
     def test_roundtrip_preserves_future_appends(self):
-        c = CircularArray(3, init=np.array([1.0, 2.0, 3.0]))
+        buf = np.array([1.0, 2.0, 3.0])
+        c = CircularArray(buf)
         c.append(4.0)
-        c2 = CircularArray.from_state(*c.raw_state())
+        c2 = CircularArray(buf.copy(), head=1)  # one append since the init
+        assert c2.view_last(3).tolist() == c.view_last(3).tolist()
         c.append(5.0)
         c2.append(5.0)
-        assert c.to_array().tolist() == c2.to_array().tolist()
-
-    def test_raw_state_buffer_is_copy(self):
-        c = CircularArray(2, init=np.array([1.0, 2.0]))
-        buf, _, _ = c.raw_state()
-        buf[0] = 42.0
-        assert c.view_last(2).tolist() == [1.0, 2.0]
+        assert c.view_last(3).tolist() == c2.view_last(3).tolist()

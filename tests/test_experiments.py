@@ -1,4 +1,7 @@
 """Tests for the per-table experiment harnesses (small-scale runs)."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -219,8 +222,11 @@ class TestTable2Harness:
     @pytest.mark.spark
     def test_no_steady_batch_raises(self, spark):
         """A run that measures no steady batch raises instead of reporting
-        a rate of 0."""
+        a rate of 0, and leaves no checkpoint directory behind."""
+        tmp = Path(tempfile.gettempdir())
+        before = set(tmp.glob("repro-ckpt-*"))
         with pytest.raises(RuntimeError, match="no steady batch"):
             measure_streaming_throughput(
                 spark, seasonality=10, n_keys=4, run_seconds=0.0, rows_per_batch=1000
             )
+        assert set(tmp.glob("repro-ckpt-*")) <= before

@@ -92,7 +92,7 @@ class TestAdditiveIdentity:
 
 class TestStateSize:
     def test_state_independent_of_points_seen(self):
-        """The streaming-space claim (§3.2): O(4m·k), not O(n)."""
+        """The streaming-space claim (§3.2): O(m·k), not O(n)."""
         model = OnlineSTL([10])
         model.initialize(np.zeros(40))
         before = model.state_floats()
@@ -110,6 +110,13 @@ class TestStateSize:
 
     def test_uninitialized_state_empty(self):
         assert OnlineSTL([9]).state_floats() == 0
+
+    @pytest.mark.parametrize("periods", [[9], [5, 12]])
+    def test_state_is_what_update_reads(self, periods):
+        """A (4m), K_p (3p each), D (m), E_{p,S} and E_{p,T} (p each)."""
+        model = OnlineSTL(periods)
+        model.initialize(np.zeros(model.window))
+        assert model.state_floats() == 5 * model.m + 5 * sum(periods)
 
 
 class TestRecovery:

@@ -44,28 +44,31 @@ class TestStateCodec:
             _advance(ks, ts, vals, 0), _advance(out, ts, vals, 0), check_exact=True
         )
 
-    def test_roundtrip_with_live_model(self):
+    @pytest.mark.parametrize("n_updates", [0, 1, 37])
+    @pytest.mark.parametrize("periods", [[5], [5, 12]])
+    def test_roundtrip_with_live_model(self, periods, n_updates):
+        """Ring heads are derived from ``n_seen``; round trips at several
+        wrap points of every ring must continue the sequence bit for bit."""
         rng = np.random.default_rng(0)
-        model = OnlineSTL([5])
-        model.initialize(rng.normal(size=20))
-        model.update(1.0)
-        ks = KeyState(periods=[5], gamma=0.7, model=model)
-        out = decode(encode(ks))
-        # The decoded model must continue the sequence bit for bit.
-        for x in rng.normal(size=30):
-            a = model.update(x)
-            b = out.model.update(x)
-            assert a == b
+        model = OnlineSTL(periods)
+        model.initialize(rng.normal(size=model.window))
+        for x in rng.normal(size=n_updates):
+            model.update(x)
+        out = decode(encode(KeyState(periods=periods, gamma=0.7, model=model)))
+        assert out.model.n_seen == model.n_seen
+        for x in rng.normal(size=60):
+            assert model.update(x) == out.model.update(x)
 
     def test_blob_is_explicit_state(self):
-        """The blob holds the O(4m·k) state plus a small header — no
-        kernels, no object graph."""
+        """The blob holds the model's 5m + 5·Σm_p state floats plus a small
+        header — no kernels, no ring cursors, no object graph."""
         rng = np.random.default_rng(1)
         model = OnlineSTL([1000])
         model.initialize(rng.normal(size=model.window))
         model.update(0.5)
         blob = encode(KeyState(periods=[1000], gamma=0.7, model=model))
-        assert len(blob) <= 8 * model.state_floats() + 256
+        # Header (version, k, n_seen, b) and one period; γ and the state.
+        assert len(blob) == 8 * 5 + 8 * (1 + model.state_floats())
         assert kernel(4000)[0].tobytes() not in blob
         warm = KeyState(
             periods=[1000],
@@ -81,6 +84,16 @@ class TestStateCodec:
         blob[:8] = np.int64(999).tobytes()
         with pytest.raises(ValueError):
             decode(bytes(blob))
+
+    def test_layout_2_checkpoint_names_remedy(self):
+        """A blob of the previous layout (2: header version, k, n_seen, b,
+        periods, ring cursors; int64 ts; float64 γ, state, values) — here a
+        warm-up key with two buffered points — fails with a message naming
+        both versions and the remedy."""
+        header = np.array([2, 1, 0, 2, 5, 0, 1], dtype=np.int64)
+        blob = header.tobytes() + np.array([0.7, 1.0, 2.0]).tobytes()
+        with pytest.raises(ValueError, match=r"version 2 != expected 3.*fresh checkpoint"):
+            decode(blob)
 
     def test_type_guard(self):
         """Truncated or garbage blobs raise instead of decoding."""
